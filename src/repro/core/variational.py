@@ -1,19 +1,24 @@
 """Variational materialization: log-determinant relaxation (§3.2.3, Alg. 1).
 
 Materialization learns a *sparser* factor graph approximating the
-original distribution: estimate the (spin) covariance matrix from Gibbs
-samples, mask it to pairs that co-occur in some factor (the ``NZ`` set),
-then solve
+original distribution: estimate the (spin) covariance from Gibbs
+samples on the ``NZ`` set (pairs that co-occur in some factor), then
+solve
 
     max  log det X
     s.t. X_kk = M_kk + 1/3,   |X_kj − M_kj| ≤ λ,   X_kj = 0 off NZ
 
 by projected gradient ascent with a Cholesky-guarded backtracking step.
-Entries with ``|M_kj| ≤ λ`` project to zero — λ directly controls the
-sparsity of the approximation (Fig. 6).  Each non-zero off-diagonal
-becomes a pairwise (Ising) factor with weight ``X̂_ij``; unary bias
-factors are calibrated mean-field-style so the approximate graph
-reproduces the materialized marginals (the paper leaves the unary
+The constraints make ``X`` block-diagonal over the connected components
+of ``NZ``, so the solve runs per component: a singleton is
+``M_kk + 1/3`` in closed form and the larger components are stacked by
+size into ``(k, b, b)`` blocks that share one global step, backtracking
+and stopping rule.  The solve costs ``Σ_c b_c³`` and the stored
+precision is CSR, ``O(n + |NZ|)``; no ``n × n`` array is built.
+λ controls the sparsity of the approximation (Fig. 6).  Each non-zero
+off-diagonal becomes a pairwise (Ising) factor with weight ``X̂_ij``;
+unary bias factors are calibrated mean-field-style so the approximate
+graph reproduces the materialized marginals (the paper leaves the unary
 treatment unspecified — see DESIGN.md).
 
 The inference phase splices updates into the approximated graph in
@@ -29,70 +34,168 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graph.delta import FactorGraphDelta
 from repro.graph.delta_energy import DeltaEvaluator
 from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
 
+#: Pair-covariance chunking: at most this many sample cells per gather.
+_COV_CHUNK_CELLS = 1 << 20
 
-def _is_positive_definite(matrix: np.ndarray) -> bool:
+
+def nz_components(num_vars: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Label the connected components of the ``NZ`` graph.
+
+    Min-label propagation with root hooking and pointer jumping; returns
+    one label in ``0..C-1`` per variable.  No pairs, no work.
+    """
+    labels = np.arange(num_vars)
+    if len(rows) == 0:
+        return labels
+    while True:
+        left, right = labels[rows], labels[cols]
+        low = np.minimum(left, right)
+        hooked = labels.copy()
+        for ends in (rows, cols, left, right):
+            np.minimum.at(hooked, ends, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = hooked
+
+
+@dataclass
+class _Stack:
+    """All ``NZ`` components of one size ``b``, stacked ``(k, b, b)``."""
+
+    diag: np.ndarray  # (k, b, b) diagonal matrices of M_kk + 1/3
+    mask: np.ndarray  # (k, b, b) off-diagonal NZ entries
+    lower: np.ndarray
+    upper: np.ndarray
+    pair_at: tuple  # (slot, a, b) block coordinates of each pair
+    pair_ids: np.ndarray  # which input pairs live in this stack
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        out = np.clip(x, self.lower, self.upper) * self.mask + self.diag
+        return (out + out.transpose(0, 2, 1)) / 2.0
+
+
+def _stacks(diag, rows, cols, cov, lam) -> list:
+    """Group the non-singleton ``NZ`` components into per-size stacks."""
+    labels = nz_components(len(diag), rows, cols)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    offsets = np.cumsum(sizes) - sizes
+    local = np.empty(len(diag), dtype=np.int64)
+    local[order] = np.arange(len(diag)) - offsets[labels[order]]
+    slot = np.empty(len(sizes), dtype=np.int64)
+    pair_size = sizes[labels[rows]]
+    stacks = []
+    for b in np.unique(sizes[sizes > 1]):
+        comps = np.flatnonzero(sizes == b)
+        slot[comps] = np.arange(len(comps))
+        members = order[offsets[comps][:, None] + np.arange(b)]
+        ids = np.flatnonzero(pair_size == b)
+        k, a, c = slot[labels[rows[ids]]], local[rows[ids]], local[cols[ids]]
+        shape = (len(comps), b, b)
+        mask = np.zeros(shape, dtype=bool)
+        mask[k, a, c] = mask[k, c, a] = True
+        m = np.zeros(shape)
+        m[k, a, c] = m[k, c, a] = cov[ids]
+        d = np.zeros(shape)
+        d[:, np.arange(b), np.arange(b)] = diag[members]
+        stacks.append(
+            _Stack(d, mask, (m - lam) * mask, (m + lam) * mask, (k, a, c), ids)
+        )
+    return stacks
+
+
+def _all_positive_definite(blocks) -> bool:
     try:
-        np.linalg.cholesky(matrix)
+        for block in blocks:
+            np.linalg.cholesky(block)
         return True
     except np.linalg.LinAlgError:
         return False
 
 
 def solve_logdet(
+    diag: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
     cov: np.ndarray,
-    nz_mask: np.ndarray,
     lam: float,
     max_iter: int = 40,
     tol: float = 1e-5,
     step: float = 0.25,
-) -> np.ndarray:
-    """Algorithm 1's optimization step (line 4).
+) -> sp.csr_matrix:
+    """Algorithm 1's optimization step (line 4), one block per component.
 
-    ``cov`` is the masked covariance with the ``+1/3`` diagonal boost
-    already applied; ``nz_mask`` marks allowed off-diagonal entries.
+    ``diag`` is the covariance diagonal with the ``+1/3`` boost already
+    applied; ``rows``/``cols`` are the ``NZ`` pairs and ``cov`` their
+    covariances.  Returns ``X`` as CSR over the diagonal and ``NZ``.
     """
-    n = cov.shape[0]
-    if cov.shape != (n, n) or nz_mask.shape != (n, n):
-        raise ValueError("cov and nz_mask must be square and same shape")
-    diag = np.diag(cov).copy()
+    diag = np.asarray(diag, dtype=float)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    cov = np.asarray(cov, dtype=float)
+    if not (len(rows) == len(cols) == len(cov)):
+        raise ValueError("rows, cols and cov must have one entry per pair")
     if (diag <= 0).any():
         raise ValueError("boosted diagonal must be positive")
-    off_mask = nz_mask.astype(bool) & ~np.eye(n, dtype=bool)
-    # Masked-out entries get a degenerate [0, 0] box, i.e. they stay zero.
-    lower = (cov - lam) * off_mask
-    upper = (cov + lam) * off_mask
-
-    def project(x: np.ndarray) -> np.ndarray:
-        off = np.clip(x, lower, upper) * off_mask
-        out = off + np.diag(diag)
-        return (out + out.T) / 2.0
-
-    x = np.diag(diag)
-    x = project(x)
-    if not _is_positive_definite(x):
+    stacks = _stacks(diag, rows, cols, cov, lam)
+    x = [s.project(s.diag) for s in stacks]
+    if not _all_positive_definite(x):
         # Fall back to the always-feasible diagonal start.
-        x = np.diag(diag)
-    for _ in range(max_iter):
-        gradient = np.linalg.inv(x)
+        x = [s.diag for s in stacks]
+    for _ in range(max_iter if stacks else 0):
+        gradient = [np.linalg.inv(block) for block in x]
         alpha = step
         candidate = x
         while alpha > 1e-9:
-            trial = project(x + alpha * gradient)
-            if _is_positive_definite(trial):
+            trial = [
+                s.project(block + alpha * g)
+                for s, block, g in zip(stacks, x, gradient)
+            ]
+            if _all_positive_definite(trial):
                 candidate = trial
                 break
             alpha /= 2.0
-        if np.abs(candidate - x).max() < tol:
-            x = candidate
-            break
+        change = max(np.abs(c - block).max() for c, block in zip(candidate, x))
         x = candidate
-    return x
+        if change < tol:
+            break
+    values = np.empty(len(rows))
+    for s, block in zip(stacks, x):
+        values[s.pair_ids] = block[s.pair_at]
+    n = len(diag)
+    ends = np.arange(n)
+    return sp.csr_matrix(
+        (
+            np.concatenate([diag, values, values]),
+            (np.concatenate([ends, rows, cols]), np.concatenate([ends, cols, rows])),
+        ),
+        shape=(n, n),
+    )
+
+
+def _pair_covariance(samples, means, rows, cols) -> np.ndarray:
+    """Spin covariance of each ``NZ`` pair, gathered in bounded chunks."""
+    count = max(len(samples), 1)
+    chunk = max(1, _COV_CHUNK_CELLS // count)
+    cov = np.empty(len(rows))
+    for start in range(0, len(rows), chunk):
+        r, c = rows[start : start + chunk], cols[start : start + chunk]
+        left = np.where(samples[:, r], 1.0, -1.0) - means[r]
+        right = np.where(samples[:, c], 1.0, -1.0) - means[c]
+        cov[start : start + chunk] = np.einsum("si,si->i", left, right) / count
+    return cov
 
 
 @dataclass
@@ -101,7 +204,7 @@ class VariationalApproximation:
 
     graph: FactorGraph
     means: np.ndarray
-    precision: np.ndarray
+    precision: sp.csr_matrix
     lam: float
     candidate_pairs: int
     kept_pairs: int
@@ -130,41 +233,36 @@ def learn_approximation(
     if samples is None:
         sampler = make_sampler(graph, seed=rng)
         samples = sampler.sample_worlds(num_samples, burn_in=20)
-    spins = np.where(np.asarray(samples, dtype=bool), 1.0, -1.0)
-    means = spins.mean(axis=0)
-    centered = spins - means
-    cov_full = centered.T @ centered / max(len(spins), 1)
-
+    samples = np.asarray(samples, dtype=bool)
     n = graph.num_vars
-    nz_mask = np.eye(n, dtype=bool)
-    candidate_pairs = 0
-    for i, j in graph.neighbor_pairs():
-        nz_mask[i, j] = nz_mask[j, i] = True
-        candidate_pairs += 1
-    cov = cov_full * nz_mask
-    cov[np.diag_indices(n)] = np.diag(cov_full) + 1.0 / 3.0
+    # Spins are ±1, so the mean is exact from counts and the variance is
+    # 1 − mean²; only the NZ pairs need a pass over the samples.
+    means = (2.0 * samples.sum(axis=0) - len(samples)) / max(len(samples), 1)
+    pairs = np.array(list(graph.neighbor_pairs()), dtype=np.int64).reshape(-1, 2)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    cov = _pair_covariance(samples, means, rows, cols)
 
-    precision = solve_logdet(cov, nz_mask, lam, max_iter=max_iter)
+    precision = solve_logdet(
+        1.0 - means * means + 1.0 / 3.0, rows, cols, cov, lam, max_iter=max_iter
+    )
 
     approx = FactorGraph()
-    for v in range(n):
-        approx.add_variable(name=graph.name_of(v))
+    approx.add_named_variables([graph.name_of(v) for v in range(n)])
     for var, value in graph.evidence.items():
         approx.set_evidence(var, value)
 
-    kept = 0
-    couplings = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = precision[i, j]
-            if nz_mask[i, j] and abs(w) > weight_threshold:
-                wid = approx.weights.intern(("J", i, j), initial=w, fixed=True)
-                approx.add_ising_factor(wid, i, j)
-                couplings[i, j] = couplings[j, i] = w
-                kept += 1
+    couplings = sp.triu(precision, k=1, format="coo")
+    keep = np.abs(couplings.data) > weight_threshold
+    ki, kj, kw = couplings.row[keep], couplings.col[keep], couplings.data[keep]
+    for i, j, w in zip(ki.tolist(), kj.tolist(), kw.tolist()):
+        wid = approx.weights.intern(("J", i, j), initial=w, fixed=True)
+        approx.add_ising_factor(wid, i, j)
     # Mean-field bias calibration: anchor each variable's marginal.
+    field = np.bincount(ki, kw * means[kj], minlength=n) + np.bincount(
+        kj, kw * means[ki], minlength=n
+    )
     safe_means = np.clip(means, -0.999999, 0.999999)
-    biases = np.arctanh(safe_means) - couplings @ means
+    biases = np.arctanh(safe_means) - field
     for v in range(n):
         if graph.is_evidence(v):
             continue
@@ -176,8 +274,8 @@ def learn_approximation(
         means=means,
         precision=precision,
         lam=lam,
-        candidate_pairs=candidate_pairs,
-        kept_pairs=kept,
+        candidate_pairs=len(rows),
+        kept_pairs=len(ki),
     )
 
 

@@ -12,8 +12,8 @@ from repro.core import (
     StrawmanMaterialization,
     VariationalMaterialization,
     learn_approximation,
-    solve_logdet,
 )
+from repro.core.sampling import make_sampler
 from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta, IsingFactor
 from repro.inference import ExactInference
 from repro.util.stats import max_marginal_error
@@ -177,12 +177,24 @@ class TestSamplingStrategy:
 class TestVariationalStrategy:
     def test_solve_logdet_respects_constraints(self):
         fg = random_pairwise_graph(6, density=0.5, seed=0)
-        approx = learn_approximation(fg, lam=0.05, num_samples=400, seed=0)
-        X = approx.precision
-        n = fg.num_vars
+        lam = 0.05
+        samples = make_sampler(fg, seed=0).sample_worlds(400, burn_in=20)
+        approx = learn_approximation(fg, lam=lam, samples=samples)
+        X = approx.precision.toarray()
+        spins = np.where(samples, 1.0, -1.0)
+        centered = spins - spins.mean(axis=0)
+        M = centered.T @ centered / len(spins)
+        nz = np.zeros_like(X, dtype=bool)
+        for i, j in fg.neighbor_pairs():
+            nz[i, j] = nz[j, i] = True
+        assert nz.any() and not nz.all()
         # Symmetric, PD, and box-constrained.
         assert np.allclose(X, X.T)
         assert np.all(np.linalg.eigvalsh(X) > 0)
+        assert np.allclose(np.diag(X), np.diag(M) + 1.0 / 3.0)
+        assert np.all(np.abs(X - M)[nz] <= lam + 1e-12)
+        off = ~nz & ~np.eye(fg.num_vars, dtype=bool)
+        assert np.all(X[off] == 0.0)
 
     def test_lambda_controls_sparsity(self):
         """Fig. 6: larger λ → fewer factors."""
