@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
+import numpy as np
 
+from repro.core.variational import nz_components
 from repro.graph.factor_graph import FactorGraph
 
 
@@ -36,34 +37,39 @@ class VariableGroup:
         return len(self.inactive) + len(self.active)
 
 
-def variable_adjacency(graph: FactorGraph) -> nx.Graph:
-    """Variables adjacent iff they co-occur in some factor."""
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.num_vars))
-    for i, j in graph.neighbor_pairs():
-        g.add_edge(i, j)
-    return g
-
-
 def decompose(graph: FactorGraph, active_vars) -> list:
     """Algorithm 2 lines 1–3: split inactive variables into conditionally
-    independent groups with their minimal active boundaries."""
-    active = frozenset(int(v) for v in active_vars)
-    adjacency = variable_adjacency(graph)
-    inactive_subgraph = adjacency.subgraph(
-        [v for v in adjacency.nodes if v not in active]
-    )
-    groups = []
-    for component in nx.connected_components(inactive_subgraph):
-        boundary = set()
-        for v in component:
-            boundary.update(
-                u for u in adjacency.neighbors(v) if u in active
-            )
-        groups.append(
-            VariableGroup(inactive=frozenset(component), active=frozenset(boundary))
-        )
-    return groups
+    independent groups with their minimal active boundaries.
+
+    Groups are the connected components of the ``NZ`` graph restricted to
+    inactive variables, ordered by their smallest variable id.
+    """
+    n = graph.num_vars
+    is_active = np.zeros(n, dtype=bool)
+    is_active[[v for v in map(int, active_vars) if 0 <= v < n]] = True
+    pairs = np.array(list(graph.neighbor_pairs()), dtype=np.int64).reshape(-1, 2)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    row_active, col_active = is_active[rows], is_active[cols]
+    inner = ~row_active & ~col_active
+    labels = nz_components(n, rows[inner], cols[inner])
+    # Active variables are singleton components of their own; renumber
+    # the inactive ones 0..G-1, keeping smallest-member order.
+    inactive = np.flatnonzero(~is_active)
+    group_ids, group_of = np.unique(labels[inactive], return_inverse=True)
+    members = [[] for _ in group_ids]
+    for var, group in zip(inactive.tolist(), group_of.tolist()):
+        members[group].append(var)
+    boundaries = [set() for _ in group_ids]
+    cross = row_active != col_active
+    inner_end = np.where(row_active, cols, rows)[cross]
+    active_end = np.where(row_active, rows, cols)[cross]
+    inner_group = np.searchsorted(group_ids, labels[inner_end])
+    for group, var in zip(inner_group.tolist(), active_end.tolist()):
+        boundaries[group].add(var)
+    return [
+        VariableGroup(inactive=frozenset(m), active=frozenset(b))
+        for m, b in zip(members, boundaries)
+    ]
 
 
 def merge_groups(groups) -> list:

@@ -14,7 +14,8 @@ of ``NZ``, so the solve runs per component: a singleton is
 ``M_kk + 1/3`` in closed form and the larger components are stacked by
 size into ``(k, b, b)`` blocks that share one global step, backtracking
 and stopping rule.  The solve costs ``Σ_c b_c³`` and the stored
-precision is CSR, ``O(n + |NZ|)``; no ``n × n`` array is built.
+precision is its diagonal plus one value per ``NZ`` pair,
+``O(n + |NZ|)``; no ``n × n`` array is built.
 λ controls the sparsity of the approximation (Fig. 6).  Each non-zero
 off-diagonal becomes a pairwise (Ising) factor with weight ``X̂_ij``;
 unary bias factors are calibrated mean-field-style so the approximate
@@ -34,7 +35,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.delta import FactorGraphDelta
 from repro.graph.delta_energy import DeltaEvaluator
@@ -134,12 +134,13 @@ def solve_logdet(
     max_iter: int = 40,
     tol: float = 1e-5,
     step: float = 0.25,
-) -> sp.csr_matrix:
+) -> tuple:
     """Algorithm 1's optimization step (line 4), one block per component.
 
     ``diag`` is the covariance diagonal with the ``+1/3`` boost already
     applied; ``rows``/``cols`` are the ``NZ`` pairs and ``cov`` their
-    covariances.  Returns ``X`` as CSR over the diagonal and ``NZ``.
+    covariances.  Returns ``X`` as ``(diagonal, pair values)``, the pair
+    values in the order of ``rows``/``cols``; ``X`` is zero elsewhere.
     """
     diag = np.asarray(diag, dtype=float)
     rows = np.asarray(rows, dtype=np.int64)
@@ -174,15 +175,7 @@ def solve_logdet(
     values = np.empty(len(rows))
     for s, block in zip(stacks, x):
         values[s.pair_ids] = block[s.pair_at]
-    n = len(diag)
-    ends = np.arange(n)
-    return sp.csr_matrix(
-        (
-            np.concatenate([diag, values, values]),
-            (np.concatenate([ends, rows, cols]), np.concatenate([ends, cols, rows])),
-        ),
-        shape=(n, n),
-    )
+    return diag, values
 
 
 def _pair_covariance(samples, means, rows, cols) -> np.ndarray:
@@ -200,11 +193,19 @@ def _pair_covariance(samples, means, rows, cols) -> np.ndarray:
 
 @dataclass
 class VariationalApproximation:
-    """Output of Algorithm 1 plus bookkeeping."""
+    """Output of Algorithm 1 plus bookkeeping.
+
+    The learned precision ``X`` is symmetric and zero off the diagonal
+    and the ``NZ`` set: ``precision_diag`` holds its diagonal and
+    ``pair_values[k]`` its entry at ``(pair_rows[k], pair_cols[k])``.
+    """
 
     graph: FactorGraph
     means: np.ndarray
-    precision: sp.csr_matrix
+    precision_diag: np.ndarray
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+    pair_values: np.ndarray
     lam: float
     candidate_pairs: int
     kept_pairs: int
@@ -242,7 +243,7 @@ def learn_approximation(
     rows, cols = pairs[:, 0], pairs[:, 1]
     cov = _pair_covariance(samples, means, rows, cols)
 
-    precision = solve_logdet(
+    precision_diag, values = solve_logdet(
         1.0 - means * means + 1.0 / 3.0, rows, cols, cov, lam, max_iter=max_iter
     )
 
@@ -251,9 +252,11 @@ def learn_approximation(
     for var, value in graph.evidence.items():
         approx.set_evidence(var, value)
 
-    couplings = sp.triu(precision, k=1, format="coo")
-    keep = np.abs(couplings.data) > weight_threshold
-    ki, kj, kw = couplings.row[keep], couplings.col[keep], couplings.data[keep]
+    # Couplings in (lo, hi) row-major order.
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    order = np.lexsort((hi, lo))
+    order = order[np.abs(values[order]) > weight_threshold]
+    ki, kj, kw = lo[order], hi[order], values[order]
     for i, j, w in zip(ki.tolist(), kj.tolist(), kw.tolist()):
         wid = approx.weights.intern(("J", i, j), initial=w, fixed=True)
         approx.add_ising_factor(wid, i, j)
@@ -272,7 +275,10 @@ def learn_approximation(
     return VariationalApproximation(
         graph=approx,
         means=means,
-        precision=precision,
+        precision_diag=precision_diag,
+        pair_rows=rows,
+        pair_cols=cols,
+        pair_values=values,
         lam=lam,
         candidate_pairs=len(rows),
         kept_pairs=len(ki),

@@ -10,8 +10,9 @@ at Python speed.
 
 The sampler is built directly on the flat CSR incidence arrays of
 :class:`~repro.graph.compiled.CompiledFactorGraph` — the per-variable
-Ising slices *are* the adjacency structure, so both the coupling matrix
-and the colouring reuse them with no per-factor traversal.
+Ising slices *are* the adjacency structure, so both the per-class
+coupling gathers and the colouring reuse them with no per-factor
+traversal.
 
 Only ``IsingFactor`` and ``BiasFactor`` graphs are supported; a graph with
 rule factors must use :class:`~repro.inference.gibbs.GibbsSampler`.
@@ -20,10 +21,10 @@ rule factors must use :class:`~repro.inference.gibbs.GibbsSampler`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.factor_graph import FactorGraph
+from repro.util.csr import csr_row_gather
 from repro.util.rng import as_generator
 
 
@@ -100,18 +101,6 @@ class ChromaticGibbsSampler:
         compiled = self.compiled
         n = graph.num_vars
         weights = np.asarray(graph.weights.values_array(), dtype=np.float64)
-        # The per-variable Ising CSR slices already list every edge from
-        # both endpoints, so they form the symmetric coupling matrix
-        # directly (duplicate column entries sum under matvec, matching
-        # parallel edges).
-        self.coupling = sp.csr_matrix(
-            (
-                weights[compiled.ising_wid],
-                compiled.ising_other,
-                compiled.ising_indptr,
-            ),
-            shape=(n, n),
-        )
         if compiled.bias_wid.size:
             self.field = np.bincount(
                 compiled.bias_var,
@@ -125,11 +114,24 @@ class ChromaticGibbsSampler:
         )
         evidence_mask = graph.evidence_mask()
         self.color_classes = []
+        self._gathers = []
         for c in range(int(colors.max()) + 1 if n else 0):
             cls = np.flatnonzero(colors == c)
             cls = cls[~evidence_mask[cls]]
             if len(cls):
                 self.color_classes.append(cls)
+                # The per-variable Ising CSR slices list every edge from
+                # both endpoints, so a class's rows of the symmetric
+                # coupling matrix are a gather of those slices (parallel
+                # edges stay separate entries and sum like duplicates).
+                positions, owner = csr_row_gather(compiled.ising_indptr, cls)
+                self._gathers.append(
+                    (
+                        owner,
+                        compiled.ising_other[positions],
+                        weights[compiled.ising_wid[positions]],
+                    )
+                )
         self.num_colors = len(self.color_classes)
         self._evidence_mask = evidence_mask
 
@@ -142,8 +144,13 @@ class ChromaticGibbsSampler:
 
     def sweep(self) -> None:
         """Resample every free variable once, one colour class at a time."""
-        for cls in self.color_classes:
-            local = self.coupling[cls] @ self.spins + self.field[cls]
+        for cls, (owner, neighbors, couplings) in zip(
+            self.color_classes, self._gathers
+        ):
+            # Row sums in CSR order, as a CSR matrix-vector product does.
+            local = np.bincount(
+                owner, weights=couplings * self.spins[neighbors], minlength=len(cls)
+            ) + self.field[cls]
             p_up = 1.0 / (1.0 + np.exp(-2.0 * local))
             flips = self.rng.random(len(cls)) < p_up
             self.spins[cls] = np.where(flips, 1.0, -1.0)

@@ -14,12 +14,26 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.graph.factor_graph import FactorGraph
 
 #: Enumerating beyond this many free variables is refused (2^24 worlds).
 MAX_FREE_VARS = 24
+
+
+def logsumexp(values) -> float:
+    """``log Σ exp(values)``, shifted by the maximum so it cannot overflow.
+
+    ``-inf`` entries add nothing; all ``-inf`` (or no entries) gives
+    ``-inf`` and a ``+inf`` entry gives ``+inf``.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return float("-inf")
+    top = values.max()
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.exp(values - top).sum()))
 
 
 class ExactInference:
@@ -55,7 +69,7 @@ class ExactInference:
                 world[var] = bit
             worlds[idx] = world
             log_weights[idx] = graph.energy(world)
-        self.log_partition = float(logsumexp(log_weights))
+        self.log_partition = logsumexp(log_weights)
         self.log_probs = log_weights - self.log_partition
         self.worlds = worlds
 

@@ -6,16 +6,20 @@ weights.  The incremental-learning study (App. B.3, Fig. 16) and the
 concept-drift study (App. B.4, Fig. 17) compare training strategies —
 SGD with/without warmstart and full gradient descent — on this model, so
 the trainer records a per-epoch (time, loss) trace.
+
+Features are held as a numpy CSR triple; matrix-vector products are
+``np.bincount`` sums over its entries and a minibatch is a row gather.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.util.csr import csr_row_gather
 from repro.util.rng import as_generator
 
 
@@ -42,19 +46,74 @@ class TrainingTrace:
         return None
 
 
-def _as_csr(features, num_features: int) -> sp.csr_matrix:
-    """Accept a CSR matrix or a list of feature-index lists."""
-    if sp.issparse(features):
-        return features.tocsr()
-    rows, cols = [], []
-    for r, feats in enumerate(features):
-        for f in feats:
-            if 0 <= f < num_features:
-                rows.append(r)
-                cols.append(f)
-    data = np.ones(len(rows))
-    return sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(features), num_features)
+class _Entries(NamedTuple):
+    """Rows of a feature matrix as flat entries, row after row: entry
+    ``k`` is feature ``cols[k]`` with value ``vals[k]`` in row ``owner[k]``."""
+
+    owner: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    num_rows: int
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w``, each row summed in CSR order."""
+        return np.bincount(
+            self.owner, weights=self.vals * w[self.cols], minlength=self.num_rows
+        )
+
+    def rmatvec(self, v: np.ndarray, num_cols: int) -> np.ndarray:
+        """``Xᵀ @ v``, accumulated row by row."""
+        return np.bincount(
+            self.cols, weights=self.vals * v[self.owner], minlength=num_cols
+        )
+
+
+class _Features(NamedTuple):
+    """A feature matrix in CSR form: row ``r`` has the features
+    ``indices[indptr[r]:indptr[r + 1]]`` with values ``data[...]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def rows(self, idx=None) -> _Entries:
+        """The entries of rows ``idx`` (default: every row), in order."""
+        if idx is None:
+            idx = np.arange(self.num_rows)
+        positions, owner = csr_row_gather(self.indptr, idx)
+        return _Entries(owner, self.indices[positions], self.data[positions], len(idx))
+
+
+def _as_features(features, num_features: int) -> _Features:
+    """Accept a CSR-convertible matrix (anything with ``.tocsr()``) or a
+    list of feature-index lists; out-of-range list entries are dropped."""
+    if isinstance(features, _Features):
+        return features
+    if hasattr(features, "tocsr"):
+        matrix = features.tocsr()
+        if matrix.shape[1] != num_features:
+            raise ValueError(
+                f"feature matrix has {matrix.shape[1]} columns, "
+                f"model has {num_features} features"
+            )
+        return _Features(
+            np.asarray(matrix.indptr, dtype=np.int64),
+            np.asarray(matrix.indices, dtype=np.int64),
+            np.asarray(matrix.data, dtype=float),
+        )
+    lengths, indices = [], []
+    for feats in features:
+        kept = sorted(f for f in feats if 0 <= f < num_features)
+        lengths.append(len(kept))
+        indices.extend(kept)
+    return _Features(
+        np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+        np.asarray(indices, dtype=np.int64),
+        np.ones(len(indices)),
     )
 
 
@@ -76,8 +135,8 @@ class LogisticRegression:
     # ------------------------------------------------------------------ #
 
     def decision_function(self, features) -> np.ndarray:
-        x = _as_csr(features, self.num_features)
-        return x @ self.weights + self.bias
+        x = _as_features(features, self.num_features)
+        return x.rows().matvec(self.weights) + self.bias
 
     def predict_proba(self, features) -> np.ndarray:
         z = self.decision_function(features)
@@ -125,9 +184,9 @@ class LogisticRegression:
         """
         if not warmstart:
             self._reset()
-        x = _as_csr(features, self.num_features)
+        x = _as_features(features, self.num_features)
         y = np.asarray(labels, dtype=float)
-        n = x.shape[0]
+        n = x.num_rows
         trace = TrainingTrace(strategy_name or ("sgd+warm" if warmstart else "sgd-cold"))
         ex, ey = (eval_features, eval_labels) if eval_features is not None else (x, y)
         start = time.perf_counter()
@@ -137,11 +196,14 @@ class LogisticRegression:
             order = self.rng.permutation(n)
             for lo in range(0, n, batch_size):
                 idx = order[lo : lo + batch_size]
-                xb = x[idx]
-                z = xb @ self.weights + self.bias
+                xb = x.rows(idx)
+                z = xb.matvec(self.weights) + self.bias
                 p = 1.0 / (1.0 + np.exp(-z))
                 err = p - y[idx]
-                grad_w = xb.T @ err / len(idx) + self.l2 * self.weights
+                grad_w = (
+                    xb.rmatvec(err, self.num_features) / len(idx)
+                    + self.l2 * self.weights
+                )
                 grad_b = float(err.mean())
                 self.weights -= step_size * grad_w
                 self.bias -= step_size * grad_b
@@ -163,17 +225,18 @@ class LogisticRegression:
         baseline of Fig. 16)."""
         if not warmstart:
             self._reset()
-        x = _as_csr(features, self.num_features)
+        x = _as_features(features, self.num_features)
         y = np.asarray(labels, dtype=float)
-        n = x.shape[0]
+        n = x.num_rows
+        xa = x.rows()
         trace = TrainingTrace(strategy_name or ("gd+warm" if warmstart else "gd-cold"))
         ex, ey = (eval_features, eval_labels) if eval_features is not None else (x, y)
         start = time.perf_counter()
         for _ in range(epochs):
-            z = x @ self.weights + self.bias
+            z = xa.matvec(self.weights) + self.bias
             p = 1.0 / (1.0 + np.exp(-z))
             err = p - y
-            grad_w = x.T @ err / n + self.l2 * self.weights
+            grad_w = xa.rmatvec(err, self.num_features) / n + self.l2 * self.weights
             grad_b = float(err.mean())
             self.weights -= step_size * grad_w
             self.bias -= step_size * grad_b

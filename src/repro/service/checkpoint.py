@@ -98,6 +98,9 @@ class CheckpointStore:
     def _read(self, path: str):
         with open(path, "rb") as fh:
             data = fh.read()
+        # Checksum and unpickle through a view: slicing the bytes would
+        # hold a second copy of the payload.
+        view = memoryview(data)
         if not data.startswith(_MAGIC):
             raise CheckpointError(f"{path}: bad magic")
         offset = len(_MAGIC)
@@ -106,7 +109,7 @@ class CheckpointStore:
         (length,) = _LEN.unpack_from(data, offset)
         offset += _LEN.size
         digest = data[offset : offset + 32]
-        payload = data[offset + 32 : offset + 32 + length]
+        payload = view[offset + 32 : offset + 32 + length]
         if len(payload) != length:
             raise CheckpointError(f"{path}: truncated payload")
         if hashlib.sha256(payload).digest() != digest:

@@ -81,6 +81,22 @@ def dense_precision(graph, samples, lam: float, max_iter: int = 40) -> tuple:
     return dense_solve_logdet(cov, nz_mask, lam, max_iter=max_iter), nz_mask
 
 
+def dense_from_pairs(diag, rows, cols, values) -> np.ndarray:
+    """The symmetric matrix with ``diag`` on the diagonal and ``values``
+    at the ``(rows, cols)`` pairs, zero elsewhere."""
+    x = np.diag(np.asarray(diag, dtype=float))
+    x[rows, cols] = values
+    x[cols, rows] = values
+    return x
+
+
+def dense_approx_precision(approx) -> np.ndarray:
+    """A :class:`VariationalApproximation`'s precision as a dense matrix."""
+    return dense_from_pairs(
+        approx.precision_diag, approx.pair_rows, approx.pair_cols, approx.pair_values
+    )
+
+
 def dense_kept_pairs(x, nz_mask, weight_threshold: float = 1e-8) -> list:
     """Upper-triangle ``NZ`` pairs whose coupling survives the threshold."""
     rows, cols = np.nonzero(np.triu(nz_mask, k=1) & (np.abs(x) > weight_threshold))

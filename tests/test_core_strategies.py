@@ -18,6 +18,7 @@ from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta, IsingFactor
 from repro.inference import ExactInference
 from repro.util.stats import max_marginal_error
 
+from tests.dense_logdet import dense_approx_precision
 from tests.helpers import chain_ising_graph, random_pairwise_graph
 
 
@@ -180,7 +181,7 @@ class TestVariationalStrategy:
         lam = 0.05
         samples = make_sampler(fg, seed=0).sample_worlds(400, burn_in=20)
         approx = learn_approximation(fg, lam=lam, samples=samples)
-        X = approx.precision.toarray()
+        X = dense_approx_precision(approx)
         spins = np.where(samples, 1.0, -1.0)
         centered = spins - spins.mean(axis=0)
         M = centered.T @ centered / len(spins)

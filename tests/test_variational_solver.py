@@ -16,7 +16,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from dense_logdet import dense_kept_pairs, dense_precision
+from dense_logdet import (
+    dense_approx_precision,
+    dense_from_pairs,
+    dense_kept_pairs,
+    dense_precision,
+)
 from repro.core import learn_approximation, solve_logdet
 from repro.core.sampling import make_sampler
 from repro.core.variational import nz_components
@@ -97,7 +102,7 @@ def test_blocked_solver_matches_dense_oracle(seed, lam):
     samples = make_sampler(fg, seed=seed).sample_worlds(150, burn_in=10)
     approx = learn_approximation(fg, lam, samples=samples)
     dense, nz_mask = dense_precision(fg, samples, lam)
-    assert np.abs(approx.precision.toarray() - dense).max() <= 1e-12
+    assert np.abs(dense_approx_precision(approx) - dense).max() <= 1e-12
     kept = [
         (f.i, f.j) for f in approx.graph.factors if isinstance(f, IsingFactor)
     ]
@@ -109,8 +114,8 @@ def test_blocked_solver_matches_dense_oracle(seed, lam):
 def test_singletons_solve_in_closed_form():
     diag = np.array([0.5, 1.0, 1.0 / 3.0])
     empty = np.array([], dtype=np.int64)
-    x = solve_logdet(diag, empty, empty, np.array([]), lam=0.05)
-    assert np.array_equal(x.toarray(), np.diag(diag))
+    x_diag, x_pairs = solve_logdet(diag, empty, empty, np.array([]), lam=0.05)
+    assert np.array_equal(dense_from_pairs(x_diag, empty, empty, x_pairs), np.diag(diag))
     with pytest.raises(ValueError):
         solve_logdet(np.array([1.0, 0.0]), empty, empty, np.array([]), lam=0.05)
     with pytest.raises(ValueError):
@@ -138,7 +143,7 @@ def test_pair_free_graph_stays_linear_in_memory():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert approx.kept_pairs == 0 and approx.candidate_pairs == 0
-    assert approx.precision.nnz == n
+    assert len(approx.precision_diag) == n and len(approx.pair_values) == 0
     # The pickled approximation is O(n): doubling n at most doubles it.
     small = learn_approximation(pair_free_graph(n // 2), lam=0.05, samples=samples[:, : n // 2])
     size, small_size = len(pickle.dumps(approx)), len(pickle.dumps(small))
